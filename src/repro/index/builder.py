@@ -20,8 +20,10 @@ skipping tree materialization at the 100 000-posting scale).
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
+import threading
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -192,8 +194,7 @@ def build_index(
             "generation": generation,
             "block_entries": block_entries,
         }
-    with open(os.path.join(index_dir, MANIFEST_NAME), "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh)
+    write_manifest(index_dir, manifest)
     if document_text is not None:
         with open(os.path.join(index_dir, DOCUMENT_NAME), "w", encoding="utf-8") as fh:
             fh.write(document_text)
@@ -250,6 +251,29 @@ def _iter_block_entries(
             block_bytes += entry_bytes
         if block:
             yield block_key(keyword, seq), pack_tagged_block(block)
+
+
+def write_manifest(index_dir: Union[str, os.PathLike], manifest: Dict) -> None:
+    """Replace an index directory's manifest atomically.
+
+    Readers in other processes (a serving index's generation check, for
+    one) may load the manifest at any moment.  The new contents go to a
+    temporary file in the same directory, are flushed to disk, and are
+    renamed over the old file, so a reader sees the old manifest or the
+    new one, never a truncated file — also when the write fails midway.
+    """
+    path = os.path.join(os.fspath(index_dir), MANIFEST_NAME)
+    tmp_path = f"{path}.{os.getpid()}.{threading.get_ident()}.tmp"
+    try:
+        with open(tmp_path, "w", encoding="utf-8") as fh:
+            json.dump(manifest, fh)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp_path, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp_path)
+        raise
 
 
 def load_manifest(index_dir: Union[str, os.PathLike]) -> Dict:

@@ -40,11 +40,11 @@ from repro.index.builder import (
     DOCUMENT_NAME,
     FREQUENCY_NAME,
     INDEX_FILE_NAME,
-    MANIFEST_NAME,
     TAGS_NAME,
     _default_block_budget,
     load_manifest,
     make_codec,
+    write_manifest,
 )
 from repro.index.frequency import FrequencyTable
 from repro.obs.logging import get_logger
@@ -307,8 +307,7 @@ class IndexUpdater:
             # The stored document no longer matches the index contents.
             os.remove(document_path)
             self.manifest["has_document"] = False
-        with open(os.path.join(self.index_dir, MANIFEST_NAME), "w", encoding="utf-8") as fh:
-            json.dump(self.manifest, fh)
+        write_manifest(self.index_dir, self.manifest)
         self._pager.sync()
         self._pager.close()
         self._closed = True

@@ -18,6 +18,7 @@ an empty keyword list admits no answer subtree.
 
 from __future__ import annotations
 
+import contextvars
 import math
 import threading
 import time
@@ -123,6 +124,13 @@ def parse_query(query: Union[str, Sequence[str]]) -> List[QueryAtom]:
     return atoms
 
 
+def _check_algorithm(algorithm: str) -> None:
+    if algorithm not in ALGORITHMS:
+        raise QueryError(
+            f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}"
+        )
+
+
 def normalize_query(query: Union[str, Sequence[str]]) -> List[str]:
     """Query → unique keyword/atom display strings (see :func:`parse_query`)."""
     return [atom.display for atom in parse_query(query)]
@@ -176,7 +184,7 @@ class ExecutionStats:
     ``execute`` makes exactly one; ``execute_many`` makes one per distinct
     query in the batch), ``cache_evictions`` counts entries this call's
     stores pushed out, and ``result_from_cache`` is true when the answer
-    was served without touching the index at all.
+    (in a batch: any answer) was served without touching the index at all.
     """
 
     counters: OpCounters = field(default_factory=OpCounters)
@@ -211,6 +219,34 @@ class ExecutionStats:
         return self.result_from_cache
 
 
+@dataclass
+class _Query:
+    """One query on its way through the tier chain."""
+
+    semantics: str
+    algorithm: str               # as requested ("auto" stays "auto")
+    key: tuple                   # result-cache key
+    generation: int
+    stats: ExecutionStats
+    prof: Optional[QueryProfile] = None  # set under EXPLAIN
+
+
+@dataclass
+class _Outcome:
+    """One answer as a tier produced it: ``hit`` (local cache), ``shared``
+    (shared cache), ``pool`` (``shared_hit`` when the worker found it in
+    the shared cache) or ``thread``.  ``delta`` is the op counters of the
+    execution that computed the answer, cached or not."""
+
+    tier: str
+    ids: tuple
+    delta: Optional[OpCounters]
+    exec_ms: Optional[float] = None
+    shared_hit: bool = False
+    plan: Optional[QueryPlan] = None
+    spans: Optional[dict] = None
+
+
 class QueryEngine:
     """Plans and executes keyword queries against an index.
 
@@ -221,20 +257,29 @@ class QueryEngine:
     Caching is opt-in: benchmarks measuring raw algorithm cost construct
     engines without one.
 
-    Two optional cross-process layers compose with the local cache:
+    Two optional cross-process layers compose with the local cache: a
+    :class:`~repro.xksearch.shared_cache.SharedResultCache`, so a result
+    computed anywhere (this process or any pool worker) is a hit
+    everywhere under the same generation stamps, and a
+    :class:`~repro.xksearch.parallel.WorkerPool` (:meth:`attach_pool`)
+    that moves cache-miss execution into worker processes.
 
-    * a :class:`~repro.xksearch.shared_cache.SharedResultCache` is
-      consulted after a local miss and fed after every execution, so a
-      result computed anywhere (this process or any pool worker) is a
-      hit everywhere, under the same generation stamps;
-    * a :class:`~repro.xksearch.parallel.WorkerPool` (attached via
-      :meth:`attach_pool`) moves cache-miss execution into worker
-      processes.  Answers are byte-identical to in-thread execution —
-      workers run the same planner over the same index — and any
-      dispatch failure falls back to executing in-thread (counted by
-      ``xks_pool_fallback_total``), never failing the request.  The
-      EXPLAIN path (``profile=True``) always runs in-thread so its
-      phase timings and I/O attribution describe *this* process.
+    Every query — ``execute``, each distinct query of ``execute_many``,
+    the LCA/ELCA variants and EXPLAIN — takes the same three steps:
+
+    1. *recall*: the local cache, then the shared cache;
+    2. *compute* on a miss: the pool, else in-thread.  Answers are
+       byte-identical either way (workers run the same planner over the
+       same index), and a dispatch failure or an open breaker falls back
+       in-thread (``xks_pool_fallback_total``), never failing the request;
+    3. *settle*: the single point that stamps :class:`ExecutionStats`,
+       counts the query (``xks_queries_total{cache=hit|shared|miss|off}``,
+       the op totals) and stores the answer in the caches.
+
+    EXPLAIN (``profile=True``) skips the cross-process tiers so its phase
+    timings and I/O attribution describe *this* process.  With no cache
+    tier, no profile and no pooled answer the execution is streamed, so a
+    consumer that stops early stops the work.
     """
 
     def __init__(
@@ -298,12 +343,13 @@ class QueryEngine:
         exec_ms: Optional[float],
         band: Optional[str] = None,
     ) -> None:
-        """Record one query against the engine totals and the registry.
+        """Count one query in the registry (the engine totals are
+        :meth:`_merge_totals`).
 
         ``cache_state`` is ``hit`` (local cache), ``shared`` (cross-process
-        cache, possibly observed inside a pool worker), ``miss`` or ``off``;
-        ``delta``, ``exec_ms`` and ``band`` (the plan's smallest-list
-        frequency band) are only present when an actual execution happened.
+        cache), ``miss`` or ``off``; ``delta``, ``exec_ms`` and ``band``
+        (the plan's smallest-list frequency band) are only present when an
+        in-thread execution happened.
         """
         if not instrumentation_enabled():
             return
@@ -314,11 +360,6 @@ class QueryEngine:
             labelnames=("semantics", "algorithm", "cache"),
         ).labels(semantics=semantics, algorithm=algorithm, cache=cache_state).inc()
         if delta is not None:
-            with self._totals_lock:
-                totals = self._totals.get(algorithm)
-                if totals is None:
-                    totals = self._totals[algorithm] = OpCounters()
-                totals.add(delta)
             ops = registry.counter(
                 "xks_algo_ops_total",
                 "Algorithm-level operation counts (the paper's cost model).",
@@ -347,26 +388,14 @@ class QueryEngine:
                     exec_ms=round(exec_ms, 3),
                 )
 
-    def _accounted(
-        self,
-        iterator: Iterator[DeweyTuple],
-        stats: ExecutionStats,
-        semantics: str,
-        algorithm: str,
-        band: Optional[str] = None,
-    ) -> Iterator[DeweyTuple]:
-        """Wrap a lazy execution so counters flush once it is consumed."""
-        before = stats.counters.snapshot()
-        started = time.perf_counter()
-        try:
-            self._debug_sleep()
-            yield from iterator
-        finally:
-            exec_ms = (time.perf_counter() - started) * 1000
-            self._note_query(
-                semantics, "off", algorithm, stats.counters.delta(before), exec_ms,
-                band=band,
-            )
+    def _merge_totals(self, algorithm: str, delta: OpCounters) -> None:
+        """Fold one execution's op counters into the engine totals (the
+        ``/statz`` counters section)."""
+        with self._totals_lock:
+            totals = self._totals.get(algorithm)
+            if totals is None:
+                totals = self._totals[algorithm] = OpCounters()
+            totals.add(delta)
 
     def _debug_sleep(self) -> None:
         delay = self.debug_latency_ms
@@ -381,22 +410,8 @@ class QueryEngine:
         stats: ExecutionStats,
         runner: Callable[[QueryPlan, ExecutionStats], Iterator[DeweyTuple]],
     ) -> tuple:
-        """Materialize one execution, re-running once on segment corruption.
-
-        A :class:`~repro.errors.CorruptionError` from the segment tier has
-        already quarantined the reader (``segments_active`` is now False),
-        so the retry rebuilds its sources from the B+trees — the ground
-        truth — and the answer is byte-identical to what the segments
-        would have produced.  B+tree corruption is not retried: there is
-        nothing more authoritative to fall back to.
-        """
-        try:
-            return tuple(runner(plan, stats))
-        except CorruptionError as exc:
-            if exc.tier != "segment":
-                raise
-            _log.warning("segment_corruption_retry", error=str(exc))
-            return tuple(runner(plan, stats))
+        """Materialize one execution (:meth:`_retryable`)."""
+        return tuple(self._retryable(plan, stats, runner))
 
     def _retryable(
         self,
@@ -404,12 +419,17 @@ class QueryEngine:
         stats: ExecutionStats,
         runner: Callable[[QueryPlan, ExecutionStats], Iterator[DeweyTuple]],
     ) -> Iterator[DeweyTuple]:
-        """Streaming variant of :meth:`_run_with_retry`.
+        """Stream one execution, re-running once on segment corruption.
 
-        Answers are in document order and byte-identical across tiers, so
-        after a mid-stream corruption the re-execution skips the prefix
-        already handed to the consumer and resumes exactly where the
-        stream broke.
+        A :class:`~repro.errors.CorruptionError` from the segment tier has
+        already quarantined the reader (``segments_active`` is now False),
+        so the retry rebuilds its sources from the B+trees — the ground
+        truth — and the answer is byte-identical to what the segments
+        would have produced.  B+tree corruption is not retried: there is
+        nothing more authoritative to fall back to.  Answers are in
+        document order, so after a mid-stream corruption the re-execution
+        skips the prefix already handed to the consumer and resumes
+        exactly where the stream broke.
         """
         yielded = 0
         try:
@@ -456,10 +476,7 @@ class QueryEngine:
         only between atoms of equal frequency (the cache key is
         order-insensitive), which never changes the result set.
         """
-        if algorithm not in ALGORITHMS:
-            raise QueryError(
-                f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}"
-            )
+        _check_algorithm(algorithm)
         return self._plan_atoms(parse_query(query), algorithm)
 
     def _plan_atoms(self, atoms: List[QueryAtom], algorithm: str) -> QueryPlan:
@@ -525,13 +542,10 @@ class QueryEngine:
         op-count deltas, I/O attribution) is attached to ``stats.profile``.
         The answer is byte-identical to the non-profiled path.
         """
-        if algorithm not in ALGORITHMS:
-            raise QueryError(
-                f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}"
-            )
+        _check_algorithm(algorithm)
         stats = stats if stats is not None else ExecutionStats()
         if not profile:
-            return self._execute_cached(
+            return self._execute_one(
                 parse_query(query), algorithm, "slca", stats, self.execute_plan
             )
         query_text = query if isinstance(query, str) else " ".join(query)
@@ -542,7 +556,7 @@ class QueryEngine:
         io_before = self._io_state()
         with maybe_phase(prof, "parse"):
             atoms = parse_query(query)
-        result = self._execute_cached(
+        result = self._execute_one(
             atoms, algorithm, "slca", stats, self.execute_plan, prof=prof
         )
         prof.total_ms = (time.perf_counter() - started) * 1000
@@ -577,31 +591,180 @@ class QueryEngine:
             "pool_misses": after["pool"]["misses"] - before["pool"]["misses"],
         }
 
+    # -- the tier chain: recall → compute → settle ----------------------------
+
+    def _tier_generation(self, explain: bool) -> int:
+        """The generation the caches and workers key on; the index is not
+        asked when no such tier is in play."""
+        in_play = self.cache is not None or (
+            not explain and (self.shared is not None or self.pool is not None)
+        )
+        return self.generation() if in_play else 0
+
+    def _execute_one(
+        self,
+        atoms: List[QueryAtom],
+        algorithm: str,
+        semantics: str,
+        stats: ExecutionStats,
+        runner: Callable[[QueryPlan, ExecutionStats], Iterator[DeweyTuple]],
+        prof: Optional[QueryProfile] = None,
+    ) -> Iterator[DeweyTuple]:
+        """Recall, compute and settle one query under one result semantics."""
+        key = normalize_key((a.display for a in atoms), algorithm, semantics)
+        generation = self._tier_generation(explain=prof is not None)
+        q = _Query(semantics, algorithm, key, generation, stats, prof)
+        outcome = self._recall(q)
+        if outcome is None or prof is not None:
+            # EXPLAIN re-derives the plan on a hit too, to show what an
+            # execution would have run.
+            with maybe_phase(prof, "plan") as phase:
+                plan = self._plan_atoms(atoms, algorithm)
+            if prof is not None:
+                phase.detail["algorithm"] = prof.algorithm = plan.algorithm
+                prof.plan = self._plan_summary(plan)
+        if outcome is None:
+            if prof is None and self.cache is None and self.shared is None:
+                # Nothing needs the answer materialized: stream it unless
+                # a worker answers, so a consumer that stops early stops
+                # the work.
+                outcome = self._pool_execute(q, plan)
+                if outcome is None:
+                    return self._stream(q, plan, runner)
+            else:
+                outcome = self._compute(q, plan, runner)
+        self._settle(q, outcome)
+        return iter(outcome.ids)
+
+    def _recall(self, q: _Query) -> Optional[_Outcome]:
+        """The local cache, then the shared cache (not under EXPLAIN).
+
+        Cache entries carry the op counters of the execution that computed
+        them, so a hit reports the original cost instead of zeroes.
+        """
+        if self.cache is not None:
+            with maybe_phase(q.prof, "cache_lookup"):
+                hit, entry = self.cache.lookup_result(q.key, q.generation)
+            if hit:
+                ids, delta = entry
+                return _Outcome("hit", ids, delta)
+        if self.shared is not None and q.prof is None:
+            hit, entry = self.shared.lookup(q.key, q.generation)
+            if hit:
+                ids, counters = entry
+                return _Outcome(
+                    "shared", tuple(ids), OpCounters(**counters) if counters else None
+                )
+        return None
+
+    def _compute(
+        self,
+        q: _Query,
+        plan: QueryPlan,
+        runner: Callable[[QueryPlan, ExecutionStats], Iterator[DeweyTuple]],
+    ) -> _Outcome:
+        """A pool worker if one takes the query, else this thread.
+
+        The execution counts into its own :class:`ExecutionStats`, so
+        computes may run concurrently (``execute_many``'s fan-out);
+        :meth:`_settle` folds the delta into the caller's stats.
+        """
+        outcome = self._pool_execute(q, plan)
+        if outcome is not None:
+            return outcome
+        local = ExecutionStats()
+        started = time.perf_counter()
+        self._debug_sleep()
+        with maybe_phase(q.prof, "execute", algorithm=plan.algorithm):
+            ids = self._run_with_retry(plan, local, runner)
+        exec_ms = (time.perf_counter() - started) * 1000
+        return _Outcome("thread", ids, local.counters, exec_ms, plan=plan)
+
+    def _stream(
+        self,
+        q: _Query,
+        plan: QueryPlan,
+        runner: Callable[[QueryPlan, ExecutionStats], Iterator[DeweyTuple]],
+    ) -> Iterator[DeweyTuple]:
+        """In-thread execution, streamed and settled once consumed."""
+        local = ExecutionStats()
+        started = time.perf_counter()
+        try:
+            self._debug_sleep()
+            yield from self._retryable(plan, local, runner)
+        finally:
+            exec_ms = (time.perf_counter() - started) * 1000
+            # No cache tier is in play, so settle never needs the ids.
+            self._settle(q, _Outcome("thread", (), local.counters, exec_ms, plan=plan))
+
+    def _settle(self, q: _Query, outcome: _Outcome) -> None:
+        """Account for one answer, whichever tier produced it.
+
+        The one place that stamps :class:`ExecutionStats`, counts the
+        query and stores answers in the shared and local caches.  A
+        pooled execution was already counted worker-side (its events were
+        replayed in :meth:`_pool_execute`); only the engine totals merge.
+        """
+        stats, tier, delta = q.stats, outcome.tier, outcome.delta
+        if delta is not None:
+            stats.counters.add(delta)
+        if tier == "hit":
+            stats.cache_hits += 1
+        elif self.cache is not None:
+            stats.cache_misses += 1
+        from_cache = tier in ("hit", "shared") or outcome.shared_hit
+        if from_cache:
+            stats.result_from_cache = True
+        if tier == "shared" or outcome.shared_hit:
+            stats.shared_hits += 1
+        if outcome.spans is not None:
+            stats.worker_spans.append(outcome.spans)
+        plan = outcome.plan
+        if not from_cache:
+            self._merge_totals(plan.algorithm, delta)
+        if tier == "thread":
+            if self.shared is not None and q.prof is None:
+                stats.shared_admission = self.shared.store(
+                    q.key, q.generation, (outcome.ids, delta.as_dict()), outcome.exec_ms
+                )
+            self._note_query(
+                q.semantics, "miss" if self.cache is not None else "off",
+                plan.algorithm, delta, outcome.exec_ms, band=plan.band,
+            )
+        elif tier != "pool":
+            self._note_query(q.semantics, tier, q.algorithm, None, None)
+        if self.cache is not None and tier != "hit":
+            with maybe_phase(q.prof, "cache_store"):
+                evictions_before = self.cache.results.stats.evictions
+                self.cache.store_result(q.key, q.generation, (outcome.ids, delta))
+                stats.cache_evictions += (
+                    self.cache.results.stats.evictions - evictions_before
+                )
+        if q.prof is not None:
+            q.prof.cache_hit = tier == "hit"
+            q.prof.result_count = len(outcome.ids)
+
     # -- cross-process layers ------------------------------------------------
 
-    def _pool_execute(self, semantics, plan, algorithm, generation, stats=None):
+    def _pool_execute(self, q: _Query, plan: QueryPlan) -> Optional[_Outcome]:
         """Try to run one planned query in a pool worker.
 
-        Returns ``(ids, delta, exec_ms, shared_hit)`` on success, or
-        ``None`` when the pool is absent, the plan is trivially empty, or
-        the dispatch failed — the caller then executes in-thread.  The
-        worker re-plans from the same atom displays and the *requested*
-        algorithm, so its planning (and its shared-cache key) matches this
-        process exactly.
+        Returns ``None`` under EXPLAIN, when the pool is absent, the plan
+        is trivially empty, the breaker is open or the dispatch failed —
+        the caller then executes in-thread.  The worker re-plans from the
+        same atom displays and the *requested* algorithm, so its planning
+        (and its shared-cache key) matches this process exactly.
 
-        The task envelope carries this request's trace id
-        (:func:`current_trace_id`), and the worker's reply carries its
-        captured metric updates and span tree: the events are replayed
-        into this process's registry here (so ``/metrics`` stays
-        fleet-accurate — the worker already counted the query, the ops
-        and the latency, exemplar trace id included), and the spans land
-        on ``stats.worker_spans`` for the serving layer to graft.  The
-        caller must therefore NOT call :meth:`_note_query` for a pooled
-        execution; :meth:`_merge_totals` keeps the engine-local totals
-        honest instead.
+        The task envelope carries this request's trace id and deadline,
+        and the worker's reply carries its captured metric updates and
+        span tree: the events are replayed into this process's registry
+        here (so ``/metrics`` stays fleet-accurate — the worker already
+        counted the query, the ops and the latency, exemplar trace id
+        included), and the spans ride on the outcome for
+        :meth:`_settle` to put on ``stats.worker_spans``.
         """
         pool = self.pool
-        if pool is None or plan.empty:
+        if pool is None or q.prof is not None or plan.empty:
             return None
         if not self.breaker.allow():
             self._note_fallback(None, reason="breaker_open")
@@ -610,10 +773,10 @@ class QueryEngine:
         tokens = [a.display for a in plan.atoms]
         try:
             task = pool.execute(
-                semantics,
+                q.semantics,
                 tokens,
-                algorithm,
-                generation,
+                q.algorithm,
+                q.generation,
                 trace_id=current_trace_id(),
                 want_spans=True,
                 deadline_epoch=(
@@ -627,11 +790,16 @@ class QueryEngine:
             self._note_fallback(exc)
             return None
         self.breaker.record_success()
-        delta = OpCounters(**task.counters)
         self._replay_worker_events(task)
-        if stats is not None and task.spans is not None:
-            stats.worker_spans.append(task.spans)
-        return tuple(task.ids), delta, task.exec_ms, bool(task.shared_hit)
+        return _Outcome(
+            "pool",
+            tuple(task.ids),
+            OpCounters(**task.counters),
+            task.exec_ms,
+            shared_hit=bool(task.shared_hit),
+            plan=plan,
+            spans=task.spans,
+        )
 
     def _replay_worker_events(self, task) -> None:
         """Replay one worker's captured metric updates into this registry.
@@ -673,16 +841,6 @@ class QueryEngine:
         values[index] = "miss"
         return (event[0], event[1], event[2], tuple(values)) + tuple(event[4:])
 
-    def _merge_totals(self, algorithm: str, delta: OpCounters) -> None:
-        """Fold a pooled execution's op counters into the engine totals
-        (the ``/statz`` counters section) — the registry side already
-        arrived via event replay."""
-        with self._totals_lock:
-            totals = self._totals.get(algorithm)
-            if totals is None:
-                totals = self._totals[algorithm] = OpCounters()
-            totals.add(delta)
-
     def _note_fallback(
         self, exc: Optional[PoolError], reason: Optional[str] = None
     ) -> None:
@@ -696,182 +854,6 @@ class QueryEngine:
                 labelnames=("reason",),
             ).labels(reason=reason).inc()
 
-    def _shared_lookup(self, key, generation, semantics, algorithm, stats):
-        """Consult the shared cache; on a hit, stamp stats, warm the local
-        cache, and return the ids tuple (``None`` on a miss)."""
-        hit, entry = self.shared.lookup(key, generation)
-        if not hit:
-            return None
-        ids, counters_dict = entry
-        ids = tuple(ids)
-        delta = OpCounters(**counters_dict) if counters_dict else None
-        stats.shared_hits += 1
-        stats.result_from_cache = True
-        if delta is not None:
-            stats.counters.add(delta)
-        if self.cache is not None:
-            self.cache.store_result(key, generation, (ids, delta))
-        self._note_query(semantics, "shared", algorithm, None, None)
-        return ids
-
-    def _execute_cached(
-        self,
-        atoms: List[QueryAtom],
-        algorithm: str,
-        semantics: str,
-        stats: ExecutionStats,
-        runner: Callable[[QueryPlan, ExecutionStats], Iterator[DeweyTuple]],
-        prof: Optional[QueryProfile] = None,
-    ) -> Iterator[DeweyTuple]:
-        """Run (or recall) one query under one result semantics.
-
-        Cache entries are ``(ids, counters)`` pairs — the SLCA tuple plus
-        the operation counters of the execution that computed it — so a
-        cache hit can stamp :class:`ExecutionStats` with the original cost
-        instead of returning indistinguishable zeroes.
-
-        Lookup order is local cache → shared cache → execute, and the
-        execution goes to the worker pool when one is attached (falling
-        back in-thread on any :class:`~repro.errors.PoolError`).  Profiled
-        (EXPLAIN) calls bypass the shared cache and the pool entirely so
-        the profile describes an execution in this process.
-        """
-        # The cross-process layers are bypassed under EXPLAIN (see above).
-        shared = self.shared if prof is None else None
-        pooled_ok = prof is None and self.pool is not None
-        if self.cache is None and shared is None:
-            with maybe_phase(prof, "plan") as phase:
-                plan = self._plan_atoms(atoms, algorithm)
-            if prof is None:
-                if pooled_ok:
-                    pooled = self._pool_execute(
-                        semantics, plan, algorithm, self.generation(), stats=stats
-                    )
-                    if pooled is not None:
-                        # The worker already counted this query (event
-                        # replay in _pool_execute) — only the engine-local
-                        # totals need merging here.
-                        ids, delta, exec_ms, shared_hit = pooled
-                        stats.counters.add(delta)
-                        if shared_hit:
-                            stats.shared_hits += 1
-                            stats.result_from_cache = True
-                        else:
-                            self._merge_totals(plan.algorithm, delta)
-                        return iter(ids)
-                return self._accounted(
-                    self._retryable(plan, stats, runner), stats, semantics,
-                    plan.algorithm, band=plan.band,
-                )
-            prof.algorithm = plan.algorithm
-            prof.plan = self._plan_summary(plan)
-            if phase is not None:
-                phase.detail["algorithm"] = plan.algorithm
-            return self._run_profiled(plan, semantics, "off", stats, runner, prof)
-        key = normalize_key((a.display for a in atoms), algorithm, semantics)
-        generation = self.generation()
-        if self.cache is not None:
-            with maybe_phase(prof, "cache_lookup"):
-                hit, entry = self.cache.lookup_result(key, generation)
-            if hit:
-                ids, cached_counters = entry
-                stats.cache_hits += 1
-                stats.result_from_cache = True
-                if cached_counters is not None:
-                    stats.counters.add(cached_counters)
-                self._note_query(semantics, "hit", algorithm, None, None)
-                if prof is not None:
-                    prof.cache_hit = True
-                    prof.result_count = len(ids)
-                    # Plans are cheap; re-derive one so EXPLAIN on a hit still
-                    # shows what an execution would have run.
-                    with maybe_phase(prof, "plan"):
-                        plan = self._plan_atoms(atoms, algorithm)
-                    prof.algorithm = plan.algorithm
-                    prof.plan = self._plan_summary(plan)
-                return iter(ids)
-            stats.cache_misses += 1
-        if shared is not None:
-            ids = self._shared_lookup(key, generation, semantics, algorithm, stats)
-            if ids is not None:
-                return iter(ids)
-        with maybe_phase(prof, "plan") as phase:
-            plan = self._plan_atoms(atoms, algorithm)
-        if prof is not None:
-            prof.algorithm = plan.algorithm
-            prof.plan = self._plan_summary(plan)
-            if phase is not None:
-                phase.detail["algorithm"] = plan.algorithm
-        pooled = (
-            self._pool_execute(semantics, plan, algorithm, generation, stats=stats)
-            if pooled_ok
-            else None
-        )
-        if pooled is not None:
-            # Pooled executions are fully counted worker-side and replayed
-            # (_pool_execute); only the engine-local totals merge here.
-            value, delta, exec_ms, shared_hit = pooled
-            stats.counters.add(delta)
-            if shared_hit:
-                stats.shared_hits += 1
-                stats.result_from_cache = True
-            else:
-                self._merge_totals(plan.algorithm, delta)
-        else:
-            before = stats.counters.snapshot()
-            exec_started = time.perf_counter()
-            self._debug_sleep()
-            with maybe_phase(prof, "execute", algorithm=plan.algorithm):
-                value = self._run_with_retry(plan, stats, runner)
-            exec_ms = (time.perf_counter() - exec_started) * 1000
-            delta = stats.counters.delta(before)
-            shared_hit = False
-            if shared is not None:
-                stats.shared_admission = shared.store(
-                    key, generation, (value, delta.as_dict()), exec_ms
-                )
-            self._note_query(
-                semantics,
-                "miss" if self.cache is not None else "off",
-                plan.algorithm,
-                delta,
-                exec_ms,
-                band=plan.band,
-            )
-        if self.cache is not None:
-            with maybe_phase(prof, "cache_store"):
-                evictions_before = self.cache.results.stats.evictions
-                self.cache.store_result(key, generation, (value, delta))
-                stats.cache_evictions += (
-                    self.cache.results.stats.evictions - evictions_before
-                )
-        if prof is not None:
-            prof.result_count = len(value)
-        return iter(value)
-
-    def _run_profiled(
-        self,
-        plan: QueryPlan,
-        semantics: str,
-        cache_state: str,
-        stats: ExecutionStats,
-        runner: Callable[[QueryPlan, ExecutionStats], Iterator[DeweyTuple]],
-        prof: QueryProfile,
-    ) -> Iterator[DeweyTuple]:
-        """Materialized, timed execution for the EXPLAIN path (no cache)."""
-        before = stats.counters.snapshot()
-        exec_started = time.perf_counter()
-        self._debug_sleep()
-        with maybe_phase(prof, "execute", algorithm=plan.algorithm):
-            value = self._run_with_retry(plan, stats, runner)
-        exec_ms = (time.perf_counter() - exec_started) * 1000
-        self._note_query(
-            semantics, cache_state, plan.algorithm, stats.counters.delta(before),
-            exec_ms, band=plan.band,
-        )
-        prof.result_count = len(value)
-        return iter(value)
-
     def execute_many(
         self,
         queries: Sequence[Union[str, Sequence[str]]],
@@ -880,11 +862,11 @@ class QueryEngine:
     ) -> List[List[DeweyTuple]]:
         """Execute a batch of queries; results align with the input order.
 
-        The batch path plans everything first, then executes: queries that
-        normalize to the same atom set (regardless of keyword order) are
-        deduplicated and computed once, and — with a cache attached — only
-        the cache-misses are executed at all.  Shared ``stats`` accumulate
-        over the distinct executions.
+        Queries that normalize to the same atom set (regardless of keyword
+        order) are deduplicated.  Each distinct query takes the tier chain
+        of :meth:`execute`, in phases: all are recalled, the misses are
+        planned and computed, then each is settled.  Shared ``stats``
+        accumulate over the distinct queries.
 
         Every returned list is a **fresh, caller-owned copy**: two input
         queries that deduplicate to the same answer get independent lists,
@@ -893,109 +875,46 @@ class QueryEngine:
         future cache hit.
 
         With a worker pool attached, the distinct misses fan out across
-        the pool concurrently (one dispatching thread per worker) — this
-        is the batch analogue of the server's parallel read path, and the
-        only place a single call exploits more than one worker at once.
+        the pool concurrently (one dispatching thread per worker, each in
+        a copy of the caller's context) — the batch analogue of the
+        server's parallel read path, and the only place a single call
+        exploits more than one worker at once.
         """
-        if algorithm not in ALGORITHMS:
-            raise QueryError(
-                f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}"
-            )
+        _check_algorithm(algorithm)
         stats = stats if stats is not None else ExecutionStats()
-        use_generation = (
-            self.cache is not None or self.shared is not None or self.pool is not None
-        )
-        generation = self.generation() if use_generation else 0
-        parsed = [parse_query(query) for query in queries]
-        keys = [
-            normalize_key((a.display for a in atoms), algorithm, "slca")
-            for atoms in parsed
-        ]
-        # Phase 1 — resolve repeats and cached entries, plan the misses.
-        resolved: Dict[tuple, tuple] = {}
-        pending: List[tuple] = []
-        pending_plans: Dict[tuple, QueryPlan] = {}
-        for atoms, key in zip(parsed, keys):
-            if key in resolved or key in pending_plans:
-                continue
-            if self.cache is not None:
-                hit, entry = self.cache.lookup_result(key, generation)
-                if hit:
-                    ids, cached_counters = entry
-                    stats.cache_hits += 1
-                    if cached_counters is not None:
-                        stats.counters.add(cached_counters)
-                    self._note_query("slca", "hit", algorithm, None, None)
-                    resolved[key] = ids
-                    continue
-                stats.cache_misses += 1
-            if self.shared is not None:
-                ids = self._shared_lookup(key, generation, "slca", algorithm, stats)
-                if ids is not None:
-                    resolved[key] = ids
-                    continue
-            pending.append(key)
-            pending_plans[key] = self._plan_atoms(atoms, algorithm)
+        generation = self._tier_generation(explain=False)
+        batch: Dict[tuple, tuple] = {}  # distinct key -> (atoms, _Query)
+        keys = []
+        for query in queries:
+            atoms = parse_query(query)
+            key = normalize_key((a.display for a in atoms), algorithm, "slca")
+            if key not in batch:
+                batch[key] = (atoms, _Query("slca", algorithm, key, generation, stats))
+            keys.append(key)
+        outcomes = {key: self._recall(q) for key, (_, q) in batch.items()}
+        pending = [key for key, outcome in outcomes.items() if outcome is None]
+        plans = {key: self._plan_atoms(batch[key][0], algorithm) for key in pending}
 
-        # Phase 2 — execute each distinct miss once.  Each execution gets
-        # its own ExecutionStats (OpCounters.add is not atomic) and the
-        # deltas merge under this thread after the fan-out joins.
-        def run_one(key: tuple):
-            plan = pending_plans[key]
-            pooled = (
-                self._pool_execute("slca", plan, algorithm, generation, stats=stats)
-                if self.pool is not None
-                else None
-            )
-            if pooled is not None:
-                # Counted worker-side and replayed; flag so the merge loop
-                # below does not note it a second time.
-                return key, pooled + (True,)
-            local = ExecutionStats()
-            exec_started = time.perf_counter()
-            self._debug_sleep()
-            value = self._run_with_retry(plan, local, self.execute_plan)
-            exec_ms = (time.perf_counter() - exec_started) * 1000
-            delta = local.counters
-            if self.shared is not None:
-                self.shared.store(key, generation, (value, delta.as_dict()), exec_ms)
-            return key, (value, delta, exec_ms, False, False)
+        def compute(key: tuple) -> _Outcome:
+            return self._compute(batch[key][1], plans[key], self.execute_plan)
 
         if self.pool is not None and len(pending) > 1:
             from concurrent.futures import ThreadPoolExecutor
 
-            with ThreadPoolExecutor(
-                max_workers=min(len(pending), self.pool.size)
-            ) as dispatchers:
-                outcomes = list(dispatchers.map(run_one, pending))
+            # Each dispatch runs in its own copy of the caller's context,
+            # so the trace id and deadline travel with the task.
+            contexts = [contextvars.copy_context() for _ in pending]
+            workers = min(len(pending), self.pool.size)
+            with ThreadPoolExecutor(max_workers=workers) as dispatchers:
+                computed = list(dispatchers.map(
+                    lambda context, key: context.run(compute, key), contexts, pending
+                ))
         else:
-            outcomes = [run_one(key) for key in pending]
-        for key, (value, delta, exec_ms, shared_hit, was_pooled) in outcomes:
-            plan = pending_plans[key]
-            stats.counters.add(delta)
-            if shared_hit:
-                stats.shared_hits += 1
-                if not was_pooled:
-                    self._note_query("slca", "shared", algorithm, None, None)
-            elif was_pooled:
-                self._merge_totals(plan.algorithm, delta)
-            else:
-                self._note_query(
-                    "slca",
-                    "miss" if self.cache is not None else "off",
-                    plan.algorithm,
-                    delta,
-                    exec_ms,
-                    band=plan.band,
-                )
-            if self.cache is not None:
-                evictions_before = self.cache.results.stats.evictions
-                self.cache.store_result(key, generation, (value, delta))
-                stats.cache_evictions += (
-                    self.cache.results.stats.evictions - evictions_before
-                )
-            resolved[key] = value
-        return [list(resolved[key]) for key in keys]
+            computed = [compute(key) for key in pending]
+        outcomes.update(zip(pending, computed))
+        for key, (_, q) in batch.items():
+            self._settle(q, outcomes[key])
+        return [list(outcomes[key].ids) for key in keys]
 
     def execute_plan(
         self,
@@ -1051,7 +970,7 @@ class QueryEngine:
             ]
             return find_all_lcas(sources, stats.counters)
 
-        return self._execute_cached(parse_query(query), "il", "lca", stats, run)
+        return self._execute_one(parse_query(query), "il", "lca", stats, run)
 
     def execute_elca(
         self,
@@ -1069,4 +988,4 @@ class QueryEngine:
             lists = [self._atom_scan(plan, atom) for atom in plan.atoms]
             return stack_elca(lists, stats.counters)
 
-        return self._execute_cached(parse_query(query), "stack", "elca", stats, run)
+        return self._execute_one(parse_query(query), "stack", "elca", stats, run)
