@@ -209,7 +209,6 @@ def check_parallel_smoke(index_dir: str) -> None:
     import multiprocessing
 
     from repro.xksearch.parallel import WorkerPool
-    from repro.xksearch.shared_cache import SharedResultCache
 
     if "fork" not in multiprocessing.get_all_start_methods():
         print("parallel smoke SKIPPED: no fork start method")
@@ -242,11 +241,10 @@ def check_parallel_smoke(index_dir: str) -> None:
             system, lambda base: {q: fetch_ids(base, q) for q in queries}
         )
 
-    # Pool and shared cache fork BEFORE the server thread starts.  The
-    # parent engine runs cache-less so every request — including the
-    # post-crash ones — actually reaches the pool dispatch path.
-    shared = SharedResultCache()
-    pool = WorkerPool(index_dir, workers=2, shared_cache=shared, max_respawns=0)
+    # The pool forks BEFORE the server thread starts.  The parent engine
+    # runs cache-less so every request — including the post-crash ones —
+    # actually reaches the pool dispatch path.
+    pool = WorkerPool(index_dir, workers=2, max_respawns=0)
     try:
         with XKSearch.open(index_dir) as system:
             system.engine.attach_pool(pool)
@@ -271,7 +269,6 @@ def check_parallel_smoke(index_dir: str) -> None:
             )
     finally:
         pool.close()
-        shared.close()
 
     assert answers == reference, f"pooled {answers} != in-thread {reference}"
     assert after_crash == reference, (

@@ -12,7 +12,7 @@ from repro.xksearch.engine import QueryAtom, parse_query
 from repro.xksearch.parallel import WorkerPool
 from repro.xksearch.ranking import RankedResult, rank_results
 from repro.xksearch.results import SearchResult, decorate_result
-from repro.xksearch.shared_cache import SharedResultCache
+from repro.xksearch.shared_cache import PostingBlockCache
 from repro.xksearch.system import XKSearch
 
 __all__ = [
@@ -20,13 +20,13 @@ __all__ = [
     "CollectionResult",
     "ExecutionStats",
     "LRUCache",
+    "PostingBlockCache",
     "QueryCache",
     "QueryEngine",
     "QueryAtom",
     "QueryPlan",
     "RankedResult",
     "SearchResult",
-    "SharedResultCache",
     "WorkerPool",
     "XKSearch",
     "XMLCollection",

@@ -17,8 +17,8 @@ Serving-layer features (beyond the paper's demo):
   answered from memory (``xksearch serve --cache-size``);
 * **process-pool execution** — ``--workers-proc N`` moves cache-miss
   query execution past the GIL into N forked worker processes reading
-  the index through shared memory maps, with a cross-process shared
-  result cache (see :mod:`repro.xksearch.parallel` and
+  the index through shared memory maps, with a cross-process cache of
+  decoded posting blocks (see :mod:`repro.xksearch.parallel` and
   docs/PERFORMANCE.md, "Scaling past the GIL");
 * **observability** (see docs/OBSERVABILITY.md) — every request is timed
   and counted in the process-global metrics registry; ``GET /metrics``
@@ -158,6 +158,9 @@ _KNOWN_ENDPOINTS = (
     "/healthz",
     "/alertz",
 )
+
+#: The query endpoints: traced, deadlined and admission-gated.
+_SEARCH_PATHS = ("/search", "/api/search")
 
 _log = get_logger("server")
 
@@ -346,22 +349,6 @@ def system_collector(system: XKSearch):
                     kind="counter",
                     help="Posting blocks admitted into the shared cache.",
                 )
-        shared = system.engine.shared
-        if shared is not None:
-            stats = shared.stats
-            yield Sample(
-                "xks_shared_cache_hits_total", stats.hits, kind="counter",
-                help="Cross-process shared-cache hits (this process's view).",
-            )
-            yield Sample(
-                "xks_shared_cache_misses_total", stats.misses, kind="counter",
-                help="Cross-process shared-cache misses (this process's view).",
-            )
-            yield Sample(
-                "xks_shared_cache_invalidations_total", stats.invalidations,
-                kind="counter",
-                help="Shared-cache entries dropped on a generation mismatch.",
-            )
         pool = system.engine.pool
         if pool is not None:
             yield Sample(
@@ -405,6 +392,17 @@ def system_collector(system: XKSearch):
         )
 
     return collect
+
+
+def _param(
+    params: Dict[str, List[str]], name: str, default: Optional[str] = ""
+) -> Optional[str]:
+    """The first value of one query parameter (``default`` if absent)."""
+    return (params.get(name) or [default])[0]
+
+
+def _flag(params: Dict[str, List[str]], name: str) -> bool:
+    return _param(params, name).lower() in ("1", "true", "yes")
 
 
 def _attach_profile_spans(trace: Trace, profile) -> None:
@@ -461,12 +459,14 @@ class _Handler(BaseHTTPRequestHandler):
     def do_GET(self):  # noqa: N802 (stdlib naming)
         started = time.perf_counter()
         url = urlparse(self.path)
+        params = parse_qs(url.query)
+        search = url.path in _SEARCH_PATHS
         error = False
         self._trace: Optional[Trace] = None
         self._trace_id: Optional[str] = None
         self._slow_entry: Optional[dict] = None
         context_token = None
-        if url.path in ("/search", "/api/search"):
+        if search:
             client_trace_id = self.headers.get("X-Trace-Id")
             if client_trace_id is not None and not valid_trace_id(client_trace_id):
                 # A malformed id must not reach the slow log, exemplars or
@@ -475,10 +475,9 @@ class _Handler(BaseHTTPRequestHandler):
                     "invalid_trace_id", header=client_trace_id[:64], path=url.path
                 )
                 client_trace_id = None
-            explain = self._wants_explain(url)
             if self.tracer is not None:
                 self._trace = self.tracer.start(
-                    "request", trace_id=client_trace_id, force=explain
+                    "request", trace_id=client_trace_id, force=_flag(params, "explain")
                 )
             self._trace_id = (
                 self._trace.trace_id if self._trace is not None
@@ -489,11 +488,7 @@ class _Handler(BaseHTTPRequestHandler):
             context_token = set_current_trace_id(self._trace_id)
         self._shed = False
         try:
-            deadline = (
-                self._parse_deadline(url)
-                if url.path in ("/search", "/api/search")
-                else None
-            )
+            deadline = self._parse_deadline(params) if search else None
             try:
                 if deadline is not None:
                     with bind_deadline(deadline):
@@ -502,9 +497,9 @@ class _Handler(BaseHTTPRequestHandler):
                         # expired-deadline fault) must not start work the
                         # checkpoints may be too coarse to stop.
                         deadline.check("admission")
-                        error = self._dispatch(url)
+                        error = self._dispatch(url.path, params)
                 else:
-                    error = self._dispatch(url)
+                    error = self._dispatch(url.path, params)
             except DeadlineExceeded as exc:
                 # The ONLY place a deadline expiry is counted — workers
                 # and engine fallbacks propagate, they never count — so
@@ -530,11 +525,7 @@ class _Handler(BaseHTTPRequestHandler):
             elapsed_ms = (time.perf_counter() - started) * 1000
             if self.metrics is not None:
                 self.metrics.record(elapsed_ms, error=error)
-            if (
-                self.gate is not None
-                and not self._shed
-                and url.path in ("/search", "/api/search")
-            ):
+            if self.gate is not None and not self._shed and search:
                 # Shed requests are cheap by construction; feeding them
                 # into the p99 window would talk the gate back open.
                 self.gate.note_latency(elapsed_ms)
@@ -542,38 +533,38 @@ class _Handler(BaseHTTPRequestHandler):
             if context_token is not None:
                 reset_current_trace_id(context_token)
 
-    def _dispatch(self, url) -> bool:
+    def _dispatch(self, path: str, params: Dict[str, List[str]]) -> bool:
         """Route one request; returns True when it errored."""
-        if url.path == "/healthz":
+        if path == "/healthz":
             self._send(200, "ok", content_type="text/plain; charset=utf-8")
-        elif url.path == "/statz":
+        elif path == "/statz":
             self._send_json(200, self._statz())
-        elif url.path == "/metrics":
+        elif path == "/metrics":
             self._send(
                 200,
                 (self.registry or get_registry()).render(),
                 content_type="text/plain; version=0.0.4; charset=utf-8",
             )
-        elif url.path == "/alertz":
+        elif path == "/alertz":
             self._send_json(200, self._alertz())
-        elif url.path == "/debug/slow":
-            return self._handle_debug_slow(url)
-        elif url.path == "/debug/pprof":
-            return self._handle_debug_pprof(url)
-        elif url.path == "/debug/heap":
-            return self._handle_debug_heap(url)
-        elif url.path == "/":
+        elif path == "/debug/slow":
+            return self._handle_debug_slow(params)
+        elif path == "/debug/pprof":
+            return self._handle_debug_pprof(params)
+        elif path == "/debug/heap":
+            return self._handle_debug_heap(params)
+        elif path == "/":
             self._send(200, render_page("", []))
-        elif url.path == "/search":
-            return self._handle_search(url)
-        elif url.path == "/api/search":
-            return self._handle_api_search(url)
+        elif path == "/search":
+            return self._handle_search(params)
+        elif path == "/api/search":
+            return self._handle_api_search(params)
         else:
             self._send(404, render_page("", []), status_only_body="not found")
             return True
         return False
 
-    def _parse_deadline(self, url) -> Optional[Deadline]:
+    def _parse_deadline(self, params: Dict[str, List[str]]) -> Optional[Deadline]:
         """The request's deadline: header > query param > server default.
 
         A malformed budget is ignored (logged) rather than rejected —
@@ -583,7 +574,7 @@ class _Handler(BaseHTTPRequestHandler):
         """
         raw = self.headers.get("X-Deadline-Ms")
         if raw is None:
-            raw = (parse_qs(url.query).get("timeout_ms") or [None])[0]
+            raw = _param(params, "timeout_ms", None)
         budget: Optional[float] = None
         if raw is not None:
             try:
@@ -657,18 +648,12 @@ class _Handler(BaseHTTPRequestHandler):
                 elapsed_ms=round(elapsed_ms, 3),
             )
 
-    @staticmethod
-    def _wants_explain(url) -> bool:
-        value = (parse_qs(url.query).get("explain") or [""])[0].lower()
-        return value in ("1", "true", "yes")
-
     # -- endpoints -----------------------------------------------------------
 
-    def _handle_search(self, url) -> bool:
+    def _handle_search(self, params: Dict[str, List[str]]) -> bool:
         """HTML results page; returns True when the request errored."""
-        params = parse_qs(url.query)
-        query = (params.get("q") or [""])[0].strip()
-        algorithm = (params.get("algorithm") or ["auto"])[0]
+        query = _param(params, "q").strip()
+        algorithm = _param(params, "algorithm", "auto")
         if not query:
             self._send(200, render_page("", []))
             return False
@@ -696,18 +681,19 @@ class _Handler(BaseHTTPRequestHandler):
         )
         return False
 
-    def _handle_api_search(self, url) -> bool:
+    def _handle_api_search(self, params: Dict[str, List[str]]) -> bool:
         """JSON results; returns True when the request errored."""
-        params = parse_qs(url.query)
-        query = (params.get("q") or [""])[0].strip()
-        algorithm = (params.get("algorithm") or ["auto"])[0]
-        limit_raw = (params.get("limit") or [""])[0]
-        explain = self._wants_explain(url)
+        query = _param(params, "q").strip()
+        algorithm = _param(params, "algorithm", "auto")
+        limit_raw = _param(params, "limit")
+        explain = _flag(params, "explain")
         if not query:
             self._send_json(400, {"error": "missing query parameter q"})
             return True
         try:
             limit = int(limit_raw) if limit_raw else None
+            if limit is not None and limit < 0:
+                raise ValueError
         except ValueError:
             self._send_json(400, {"error": f"bad limit {limit_raw!r}"})
             return True
@@ -765,7 +751,6 @@ class _Handler(BaseHTTPRequestHandler):
             "elapsed_ms": round(elapsed_ms, 3),
             "cached": stats.result_from_cache,
             "cache_hit": stats.cache_hit,
-            "shared_hit": stats.shared_hits > 0,
             "counters": stats.counters.as_dict(),
             "trace_id": self._trace_id,
         }
@@ -797,9 +782,6 @@ class _Handler(BaseHTTPRequestHandler):
             "server": self.metrics.summary() if self.metrics else {},
             "generation": engine.generation(),
             "cache": engine.cache.stats() if engine.cache is not None else None,
-            "shared_cache": (
-                engine.shared.stats_dict() if engine.shared is not None else None
-            ),
             "pool": engine.pool.stats_dict() if engine.pool is not None else None,
             "storage": self.system.storage_stats(),
             "counters": engine.counter_totals(),
@@ -823,15 +805,14 @@ class _Handler(BaseHTTPRequestHandler):
             payload["profiler"] = self.profiler.totals()
         return payload
 
-    def _handle_debug_slow(self, url) -> bool:
+    def _handle_debug_slow(self, params: Dict[str, List[str]]) -> bool:
         """Slow-log JSON; supports ``?limit=N`` and ``?clear=1``.
 
         ``clear`` returns the entries it removed, so a scrape-and-reset
         consumer never loses a window.  Returns True on a bad request.
         """
-        params = parse_qs(url.query)
-        limit_raw = (params.get("limit") or [""])[0]
-        clear = (params.get("clear") or [""])[0].lower() in ("1", "true", "yes")
+        limit_raw = _param(params, "limit")
+        clear = _flag(params, "clear")
         limit: Optional[int] = None
         if limit_raw:
             try:
@@ -884,7 +865,7 @@ class _Handler(BaseHTTPRequestHandler):
                 )
         return out
 
-    def _handle_debug_pprof(self, url) -> bool:
+    def _handle_debug_pprof(self, params: Dict[str, List[str]]) -> bool:
         """Folded flamegraph stacks from the sampling profiler.
 
         ``?seconds=N`` profiles only the *next* N seconds (the handler
@@ -894,10 +875,9 @@ class _Handler(BaseHTTPRequestHandler):
         shipped stacks in; ``&format=folded`` renders collapsed text
         (``stack;stack;leaf count`` lines) for flamegraph tooling.
         """
-        params = parse_qs(url.query)
-        seconds_raw = (params.get("seconds") or [""])[0]
-        want_fleet = (params.get("fleet") or [""])[0].lower() in ("1", "true", "yes")
-        folded = (params.get("format") or [""])[0].lower() == "folded"
+        seconds_raw = _param(params, "seconds")
+        want_fleet = _flag(params, "fleet")
+        folded = _param(params, "format").lower() == "folded"
         seconds = 0.0
         if seconds_raw:
             try:
@@ -940,14 +920,13 @@ class _Handler(BaseHTTPRequestHandler):
         )
         return False
 
-    def _handle_debug_heap(self, url) -> bool:
+    def _handle_debug_heap(self, params: Dict[str, List[str]]) -> bool:
         """tracemalloc heap snapshot; ``?start=1`` / ``?stop=1`` toggle
         tracking (it costs memory and time, so it is explicit), ``?top=N``
         bounds the allocation-site list, ``&fleet=1`` adds the workers'
         shipped heap summaries."""
-        params = parse_qs(url.query)
-        top_raw = (params.get("top") or [""])[0]
-        want_fleet = (params.get("fleet") or [""])[0].lower() in ("1", "true", "yes")
+        top_raw = _param(params, "top")
+        want_fleet = _flag(params, "fleet")
         top = 30
         if top_raw:
             try:
@@ -957,9 +936,9 @@ class _Handler(BaseHTTPRequestHandler):
             except ValueError:
                 self._send_json(400, {"error": f"bad top {top_raw!r}"})
                 return True
-        if (params.get("start") or [""])[0].lower() in ("1", "true", "yes"):
+        if _flag(params, "start"):
             start_heap_tracking()
-        elif (params.get("stop") or [""])[0].lower() in ("1", "true", "yes"):
+        elif _flag(params, "stop"):
             stop_heap_tracking()
         payload = {
             "tracking": heap_tracking_active(),
@@ -1231,9 +1210,9 @@ def serve(
 
     ``workers_proc > 0`` adds a pool of that many **worker processes**
     executing cache-miss queries over mmap'd read-only index handles, with
-    a cross-process shared result cache *and* a cross-process posting-block
-    cache under it (docs/PERFORMANCE.md, "Scaling past the GIL" and
-    "Posting segments").  The pool and caches are created *before* any
+    a cross-process posting-block cache under them (docs/PERFORMANCE.md,
+    "Scaling past the GIL" and "Posting segments").  The pool and that
+    cache are created *before* any
     server thread starts — fork with live threads is unsafe — and a
     platform without ``fork`` simply serves in-thread (logged, never
     fatal).  ``use_segments=False`` pins every process to the B+tree
@@ -1335,22 +1314,19 @@ def serve(
         if slo_state:
             slo_engine.load_state(slo_state)
         slo_engine.start()
-    shared_cache = None
     posting_cache = None
     pool = None
     if workers_proc > 0:
         from repro.errors import PoolError
         from repro.xksearch.parallel import WorkerPool
-        from repro.xksearch.shared_cache import PostingBlockCache, SharedResultCache
+        from repro.xksearch.shared_cache import PostingBlockCache
 
-        shared_cache = SharedResultCache()
         if use_segments:
             posting_cache = PostingBlockCache()
         try:
             pool = WorkerPool(
                 index_dir,
                 workers=workers_proc,
-                shared_cache=shared_cache,
                 use_segments=use_segments,
                 posting_cache=posting_cache,
                 profile_hz=profile_hz,
@@ -1369,7 +1345,6 @@ def serve(
         with XKSearch.open(
             index_dir,
             cache=cache,
-            shared_cache=shared_cache,
             use_segments=use_segments,
             verify_checksums=verify_checksums,
         ) as system:
@@ -1459,7 +1434,7 @@ def serve(
                 if leftover:
                     _log.warning("drain_timeout", inflight=leftover)
                 # server_close flushes exporters and the SLO engine; the
-                # outer finally closes the pool and shared caches after.
+                # outer finally closes the pool and posting cache after.
                 server.server_close()
     finally:
         # Idempotent: server_close() already closed these on the normal
@@ -1478,7 +1453,5 @@ def serve(
             exporter.close()
         if pool is not None:
             pool.close()
-        if shared_cache is not None:
-            shared_cache.close()
         if posting_cache is not None:
             posting_cache.close()

@@ -1,12 +1,12 @@
-"""Cross-process shared result cache with cost-aware admission.
+"""Cross-process shared-memory table with cost-aware admission.
 
-The per-process :class:`~repro.xksearch.cache.QueryCache` stops paying off
-the moment query execution moves to a pool of worker processes: each
-process would warm its own private cache over the same skewed workload.
-This module keeps one result store in **anonymous shared memory**
+With ``serve --workers-proc N`` every pool worker would otherwise decode
+the same hot posting blocks privately.  :class:`PostingBlockCache` keeps
+one store of decoded blocks in **anonymous shared memory**
 (``mmap.mmap(-1, size)``), created before the pool forks so parent and
 every worker address the same physical pages, guarded by one
-``multiprocessing.Lock``.
+``multiprocessing.Lock``.  :class:`SharedResultCache` is the generic
+table it is built on: any picklable value under any hashable key.
 
 Layout — a fixed-size open-addressing hash table:
 
@@ -18,20 +18,21 @@ Layout — a fixed-size open-addressing hash table:
 * ``slot_count`` fixed-size slots, each ``key_hash u64 | generation u64 |
   cost_ms f64 | score f64 | hits u32 | length u32 | payload``.  Payloads
   are pickled ``(key, value)`` pairs; the key rides along so a 64-bit
-  hash collision can never serve a wrong answer.
+  hash collision can never serve a wrong value.
 
 **Admission is cost-aware, not recency-based.**  Plain LRU admits every
-miss, so one scan over a long tail of one-off queries evicts the
-expensive popular entries the cache exists for.  Here an entry's worth is
+miss, so one scan over a long tail of one-off keys evicts the expensive
+popular entries the table exists for.  Here an entry's worth is
 ``score = cost_ms x max(1, expected_reuse)`` — what it cost to compute
 times how often it has been requested — recomputed as ``cost_ms x (1 +
-hits)`` as real hits accrue.  A new result lands in an empty probe slot
+hits)`` as real hits accrue.  A new value lands in an empty probe slot
 (``admit``), beats the cheapest incumbent in its probe window
-(``evict``), or is turned away (``reject``); results too large for a slot
-are ``oversize``.  Each decision increments
-``xks_cache_admission_total{decision}`` in the process-local registry.
+(``evict``), or is turned away (``reject``); values too large for a slot
+are ``oversize``.  Each decision increments the subclass's
+``ADMISSION_METRIC`` (``xks_posting_cache_admission_total{decision}`` for
+posting blocks) in the process-local registry.
 
-Generation stamps work exactly like the in-process cache's: a lookup
+Generation stamps work exactly like the in-process result cache's: a lookup
 under a newer index generation is a miss, drops the stale entry, and
 counts an invalidation — in *whichever process* observes it first, which
 is what keeps invalidation coherent across the pool.
@@ -49,7 +50,7 @@ from typing import Any, Hashable, Optional, Tuple
 from repro.obs.logging import get_logger
 from repro.obs.metrics import get_registry, instrumentation_enabled
 
-#: Default slot geometry: 1024 slots x 4 KiB = 4 MiB of shared results.
+#: Default slot geometry: 1024 slots x 4 KiB = 4 MiB of shared values.
 DEFAULT_SLOT_COUNT = 1024
 DEFAULT_SLOT_SIZE = 4096
 DEFAULT_SKETCH_SLOTS = 8192
@@ -77,11 +78,10 @@ def _key_hash(key_bytes: bytes) -> int:
 
 
 class SharedCacheStats:
-    """Per-process view of shared-cache effectiveness.
+    """Per-process view of one shared table's effectiveness.
 
     The segment itself is shared; these counters are not (each process
-    counts what *it* observed).  The serving layer exposes the parent's
-    view, which covers every request the server handled.
+    counts what *it* observed).
     """
 
     def __init__(self) -> None:
@@ -111,7 +111,11 @@ class SharedCacheStats:
 
 
 class SharedResultCache:
-    """A result cache living in anonymous shared memory.
+    """A key/value table living in anonymous shared memory.
+
+    The serving path uses it only as :class:`PostingBlockCache`; query
+    results are cached per process by
+    :class:`~repro.xksearch.cache.QueryCache`.
 
     Create it **before** forking the worker pool; the mapping and its
     lock are inherited, so every process reads and writes the same slots.
@@ -119,8 +123,8 @@ class SharedResultCache:
     a fresh unpickled copy per call, so cross-process mutation cannot
     occur by construction).
 
-    Subclasses reuse the store for other payload kinds by overriding the
-    admission-metric identity (see :class:`PostingBlockCache`).
+    Subclasses set the payload kind's geometry and admission-metric
+    identity (see :class:`PostingBlockCache`).
     """
 
     ADMISSION_METRIC = "xks_cache_admission_total"
@@ -323,16 +327,16 @@ POSTING_SLOT_SIZE = 16384
 
 class PostingBlockCache(SharedResultCache):
     """Cross-process cache of **decoded posting blocks** (the layer below
-    the result cache).
+    the per-process result cache).
 
-    Same machinery as :class:`SharedResultCache` — anonymous shared
-    memory, frequency x recency admission (``decode cost x expected
+    The :class:`SharedResultCache` table — anonymous shared memory,
+    frequency x recency admission (``decode cost x expected
     reuse``), generation-stamped entries — but keyed by ``("pblk",
     keyword, block index)`` and stamped with the *segment* generation
     (:mod:`repro.index.segments`), so an :class:`~repro.index.updates.IndexUpdater`
     bump instantly stales every process's view of the old blocks.  A
     result-cache hit short-circuits above this layer; this one pays off
-    on cache-miss queries, where every pool worker would otherwise decode
+    on result-cache misses, where every pool worker would otherwise decode
     the same hot blocks privately.  Admission decisions count toward
     ``xks_posting_cache_admission_total{decision}``.
     """

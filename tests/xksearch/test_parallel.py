@@ -1,16 +1,16 @@
 """Process-pool execution: byte-identical answers, invalidation, fallback."""
 
 import multiprocessing
+from collections import Counter
 
 import pytest
 
 from repro.errors import PoolError
 from repro.index.builder import build_index
 from repro.index.updates import IndexUpdater
+from repro.obs.metrics import get_registry
 from repro.xksearch.cache import QueryCache
-from repro.xksearch.engine import ExecutionStats, QueryEngine
 from repro.xksearch.parallel import WorkerPool
-from repro.xksearch.shared_cache import SharedResultCache
 from repro.xksearch.system import XKSearch
 from repro.xmltree.generate import dblp_like_tree, plant_keywords
 
@@ -33,24 +33,20 @@ def index_dir(tmp_path_factory):
 
 @pytest.fixture
 def pooled(index_dir):
-    """(pooled system, reference in-thread system, pool, shared cache)."""
-    shared = SharedResultCache(slot_count=128, slot_size=4096)
-    pool = WorkerPool(index_dir, workers=2, shared_cache=shared)
-    system = XKSearch.open(
-        index_dir, load_document=False, cache=QueryCache(), shared_cache=shared
-    )
+    """(pooled system, reference in-thread system, pool)."""
+    pool = WorkerPool(index_dir, workers=2)
+    system = XKSearch.open(index_dir, load_document=False, cache=QueryCache())
     system.engine.attach_pool(pool)
     reference = XKSearch.open(index_dir, load_document=False)
-    yield system, reference, pool, shared
+    yield system, reference, pool
     pool.close()
-    shared.close()
     system.close()
     reference.close()
 
 
 class TestByteIdentical:
     def test_slca_all_algorithms(self, pooled):
-        system, reference, pool, _ = pooled
+        system, reference, pool = pooled
         for query in QUERIES:
             for algorithm in ("auto", "il", "scan", "stack"):
                 got = list(system.search_ids(query, algorithm=algorithm))
@@ -61,7 +57,7 @@ class TestByteIdentical:
         assert sum(w["tasks"] for w in stats["workers"]) > 0
 
     def test_lca_and_elca(self, pooled):
-        system, reference, _, _ = pooled
+        system, reference, _ = pooled
         for query in QUERIES:
             got = list(system.engine.execute_all_lca(query))
             want = list(reference.engine.execute_all_lca(query))
@@ -71,39 +67,45 @@ class TestByteIdentical:
             assert got == want, ("elca", query)
 
     def test_execute_many_matches_sequential(self, pooled):
-        system, reference, _, _ = pooled
+        system, reference, _ = pooled
         batch = QUERIES + ["xkbig xkrare", "xkmid"]  # repeats + reorderings
         got = system.engine.execute_many(batch)
         want = reference.engine.execute_many(batch)
         assert got == want
 
     def test_pool_without_caches(self, index_dir):
-        # A pool attached to a cache-less engine still answers correctly.
-        pool = WorkerPool(index_dir, workers=1)
+        # The `serve --cache-size 0 --workers-proc N` shape: every query
+        # reaches a worker, answers byte-identically to in-thread, and
+        # counts as xks_queries_total{cache="off"}.
+        def by_cache_label():
+            out = Counter()
+            for sample in get_registry().collect():
+                if sample.name == "xks_queries_total":
+                    out[sample.labels["cache"]] += sample.value
+            return out
+
+        pool = WorkerPool(index_dir, workers=2)
+        system = XKSearch.open(index_dir, load_document=False, cache=None)
+        system.engine.attach_pool(pool)
+        reference = XKSearch.open(index_dir, load_document=False)
         try:
-            system = XKSearch.open(index_dir, load_document=False)
-            system.engine.attach_pool(pool)
-            reference = XKSearch.open(index_dir, load_document=False)
-            for query in QUERIES:
-                got = list(system.search_ids(query))
-                want = list(reference.search_ids(query))
-                assert got == want
-            system.close()
-            reference.close()
+            before = by_cache_label()
+            for query in QUERIES + QUERIES:
+                for algorithm in ("auto", "il", "scan", "stack"):
+                    got = list(system.search_ids(query, algorithm=algorithm))
+                    want = list(reference.search_ids(query, algorithm=algorithm))
+                    assert got == want, (query, algorithm)
+            tasks = sum(w["tasks"] for w in pool.stats_dict()["workers"])
+            assert tasks == 2 * len(QUERIES) * 4
+            after = by_cache_label()
+            # The reference engine counts "off" too, one per query.
+            assert after["off"] - before["off"] == 2 * tasks
+            assert after["miss"] == before["miss"]
+            assert after["hit"] == before["hit"]
         finally:
             pool.close()
-
-    def test_shared_cache_round_trip(self, pooled):
-        system, _, _, shared = pooled
-        first = list(system.search_ids("xkrare xkbig"))
-        # A second engine in this process (fresh local cache) must hit the
-        # entry a worker stored in the shared segment.
-        other = QueryEngine(system.index, cache=QueryCache(), shared_cache=shared)
-        stats = ExecutionStats()
-        second = list(other.execute("xkbig xkrare", stats=stats))
-        assert second == first
-        assert stats.shared_hits == 1
-        assert stats.result_from_cache
+            system.close()
+            reference.close()
 
 
 class TestMidRunUpdate:
@@ -112,11 +114,8 @@ class TestMidRunUpdate:
         plant_keywords(tree, {"xka": 5, "xkb": 14}, seed=3)
         target = tmp_path / "idx"
         build_index(tree, target, page_size=1024)
-        shared = SharedResultCache(slot_count=64)
-        pool = WorkerPool(target, workers=2, shared_cache=shared)
-        system = XKSearch.open(
-            target, load_document=False, cache=QueryCache(), shared_cache=shared
-        )
+        pool = WorkerPool(target, workers=2)
+        system = XKSearch.open(target, load_document=False, cache=QueryCache())
         system.engine.attach_pool(pool)
         try:
             # Warm both workers (sequential dispatch round-robins the
@@ -144,7 +143,6 @@ class TestMidRunUpdate:
             reference.close()
         finally:
             pool.close()
-            shared.close()
             system.close()
 
 
@@ -196,7 +194,7 @@ class TestDegradation:
         trace context; replaying them makes the parent registry exact."""
         from repro.obs.metrics import MetricsRegistry
 
-        _, _, pool, _ = pooled
+        _, _, pool = pooled
         task = pool.execute(
             "slca",
             ["xkmid", "xkbig"],
@@ -236,13 +234,13 @@ class TestDegradation:
         assert "cafecafecafecafecafecafecafecafe" in rendered
 
     def test_spans_off_by_default(self, pooled):
-        _, _, pool, _ = pooled
+        _, _, pool = pooled
         task = pool.execute("slca", ["xkmid"], "auto", 0)
         assert task.spans is None
         assert task.events  # telemetry events always ship
 
     def test_collect_snapshots_round_trip(self, pooled):
-        _, _, pool, _ = pooled
+        _, _, pool = pooled
         pool.execute("slca", ["xkmid"], "auto", 0)
         snapshots = pool.collect_snapshots()
         assert len(snapshots) == pool.size
@@ -255,7 +253,7 @@ class TestDegradation:
         assert isinstance(task.ids, tuple)
 
     def test_worker_error_degrades_not_fails(self, pooled):
-        system, reference, _, _ = pooled
+        system, reference, _ = pooled
         # An unknown semantics string makes the worker reply with an
         # error; pool.execute surfaces it as PoolError.
         with pytest.raises(PoolError, match="error"):

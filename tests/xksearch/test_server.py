@@ -117,6 +117,19 @@ class TestJsonApi:
         _, _, payload = fetch_json(f"{server_url}/api/search?q=John+Ben&limit=1")
         assert payload["count"] == 1 and len(payload["ids"]) == 1
 
+    def test_api_search_negative_limit_is_400(self, server_url):
+        # "John Ben" has three answers; a negative limit must not slice
+        # from the end of the list.
+        _, _, payload = fetch_json(f"{server_url}/api/search?q=John+Ben")
+        assert payload["count"] == 3
+        for limit in ("-1", "-3"):
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                fetch(f"{server_url}/api/search?q=John+Ben&limit={limit}")
+            assert excinfo.value.code == 400
+            assert json.loads(excinfo.value.read()) == {"error": f"bad limit {limit!r}"}
+        _, _, payload = fetch_json(f"{server_url}/api/search?q=John+Ben&limit=0")
+        assert payload["count"] == 0 and payload["ids"] == []
+
     def test_api_search_timing_header(self, server_url):
         _, headers, _ = fetch_json(f"{server_url}/api/search?q=John+Ben")
         assert float(headers["X-Response-Time-Ms"]) >= 0

@@ -1,17 +1,15 @@
 """Characterization of the engine's tier chain.
 
-Every combination of local cache × shared cache × worker pool is driven
-through ``execute``, ``execute_many`` and ``execute(profile=True)``, and
-each answer's tier (local hit, shared hit in this process, shared hit in
-a worker, pooled execution, in-thread execution) is predicted by a small
-model.  From the predicted tier the test derives what the engine must
-report: the answer, ``ExecutionStats``, the ``xks_queries_total{cache}``
-label and ``counter_totals()``.
+Every combination of result cache × worker pool is driven through
+``execute``, ``execute_many`` and ``execute(profile=True)``, and each
+answer's tier (cache hit, pooled execution, in-thread execution) is
+predicted by a small model.  From the predicted tier the test derives what
+the engine must report: the answer, ``ExecutionStats``, the
+``xks_queries_total{cache}`` label and ``counter_totals()``.
 
 The pool is a fake that does in this process what a pool worker does: it
-looks up and feeds the shared cache, executes with a cache-less engine
-(which touches no metric), and ships its ``xks_queries_total`` update as a
-captured event for the parent to replay.
+executes with a cache-less engine (which touches no metric), and ships its
+``xks_queries_total`` update as a captured event for the parent to replay.
 """
 
 import threading
@@ -28,7 +26,6 @@ from repro.robustness.deadline import Deadline, bind_deadline
 from repro.xksearch.cache import QueryCache, normalize_key
 from repro.xksearch.engine import ExecutionStats, QueryEngine, parse_query
 from repro.xksearch.parallel import TaskResult
-from repro.xksearch.shared_cache import SharedResultCache
 
 #: One round of queries: a reordered repeat, an empty plan (a keyword that
 #: never occurs, which is never pooled) and a single keyword.
@@ -60,9 +57,8 @@ class FakePool:
 
     size = 2
 
-    def __init__(self, index, shared=None, fail=False):
+    def __init__(self, index, fail=False):
         self.worker = QueryEngine(index)
-        self.shared = shared
         self.fail = fail
         self.calls = []
         self._lock = threading.Lock()
@@ -74,24 +70,11 @@ class FakePool:
         if self.fail:
             raise PoolError("injected dispatch failure")
         spans = {"name": "worker"} if want_spans else None
-        key = normalize_key(tokens, algorithm, semantics)
-        if self.shared is not None:
-            hit, entry = self.shared.lookup(key, generation)
-            if hit:
-                ids, counters = entry
-                return TaskResult(
-                    tuple(ids), counters, 0.1, True, None,
-                    events=[_queries_event(algorithm, "shared")], spans=spans,
-                )
         plan = self.worker.plan(tokens, algorithm)
         stats = ExecutionStats()
         ids = tuple(self.worker.execute_plan(plan, stats))
-        counters = stats.counters.as_dict()
-        admission = None
-        if self.shared is not None:
-            admission = self.shared.store(key, generation, (ids, counters), 0.5)
         return TaskResult(
-            ids, counters, 0.5, False, admission,
+            ids, stats.counters.as_dict(), 0.5,
             events=[_queries_event(plan.algorithm, "off")], spans=spans,
         )
 
@@ -141,25 +124,16 @@ def reference(index):
 class TierModel:
     """Predicts which tier answers each query, and what that tier stores."""
 
-    def __init__(self, cache, shared, pool):
-        self.cache, self.shared, self.pool = cache, shared, pool
+    def __init__(self, cache, pool):
+        self.cache, self.pool = cache, pool
         self.local = set()
-        self.shared_keys = set()
 
     def tier(self, key, plan, profile):
         if self.cache and key in self.local:
             return "hit"
         if self.cache:
             self.local.add(key)
-        if self.shared == "engine" and not profile and key in self.shared_keys:
-            return "shared"
         pooled = self.pool == "ok" and not profile and not plan.empty
-        if pooled and self.shared is not None and key in self.shared_keys:
-            return "pool-shared"
-        if pooled and self.shared is not None:
-            self.shared_keys.add(key)
-        if not pooled and self.shared == "engine" and not profile:
-            self.shared_keys.add(key)
         return "pool" if pooled else "thread"
 
 
@@ -170,16 +144,15 @@ def _expect(tiers, plans, counters, cache):
     summed = OpCounters()
     for tier, plan, delta in zip(tiers, plans, counters):
         summed.add(OpCounters(**delta))
-        if tier in ("hit", "shared", "pool-shared"):
-            labels[("auto", "shared" if tier != "hit" else "hit")] += 1
+        if tier == "hit":
+            labels[("auto", "hit")] += 1
         else:
             labels[(plan.algorithm, "miss" if cache else "off")] += 1
             totals.setdefault(plan.algorithm, OpCounters()).add(OpCounters(**delta))
     fields = {
         "cache_hits": tiers.count("hit"),
         "cache_misses": sum(1 for t in tiers if t != "hit") if cache else 0,
-        "shared_hits": sum(1 for t in tiers if t in ("shared", "pool-shared")),
-        "worker_spans": sum(1 for t in tiers if t in ("pool", "pool-shared")),
+        "worker_spans": tiers.count("pool"),
         "counters": summed.as_dict(),
     }
     return fields, dict(labels), totals
@@ -189,7 +162,6 @@ def _fields(stats):
     return {
         "cache_hits": stats.cache_hits,
         "cache_misses": stats.cache_misses,
-        "shared_hits": stats.shared_hits,
         "worker_spans": len(stats.worker_spans),
         "counters": stats.counters.as_dict(),
     }
@@ -197,74 +169,55 @@ def _fields(stats):
 
 @pytest.mark.parametrize("mode", ["execute", "execute_many", "profile"])
 @pytest.mark.parametrize("pool", [None, "ok", "raise"])
-@pytest.mark.parametrize("shared", [None, "engine", "pool"])
 @pytest.mark.parametrize("cache", [False, True])
-def test_tier_chain(index, reference, cache, shared, pool, mode):
-    shared_cache = (
-        SharedResultCache(slot_count=64, slot_size=4096) if shared is not None else None
-    )
-    engine = QueryEngine(
-        index,
-        cache=QueryCache() if cache else None,
-        shared_cache=shared_cache if shared == "engine" else None,
-    )
+def test_tier_chain(index, reference, cache, pool, mode):
+    engine = QueryEngine(index, cache=QueryCache() if cache else None)
     if pool is not None:
-        engine.attach_pool(FakePool(index, shared=shared_cache, fail=pool == "raise"))
-    model = TierModel(cache, shared, pool)
+        engine.attach_pool(FakePool(index, fail=pool == "raise"))
+    model = TierModel(cache, pool)
     expected_totals = {}
-    try:
-        for _round in range(2):
+    for _round in range(2):
+        if mode == "execute_many":
+            calls = [QUERIES]
+        else:
+            calls = [[query] for query in QUERIES]
+        for batch in calls:
+            distinct = list(dict.fromkeys(reference[q][0] for q in batch))
+            by_key = {reference[q][0]: reference[q] for q in batch}
+            tiers = [
+                model.tier(key, by_key[key][1], mode == "profile")
+                for key in distinct
+            ]
+            plans = [by_key[key][1] for key in distinct]
+            counters = [by_key[key][3] for key in distinct]
+            fields, labels, totals = _expect(tiers, plans, counters, cache)
+            for algorithm, delta in totals.items():
+                expected_totals.setdefault(algorithm, OpCounters()).add(delta)
+
+            stats = ExecutionStats()
+            before = _query_labels()
             if mode == "execute_many":
-                calls = [QUERIES]
+                answers = engine.execute_many(batch, stats=stats)
             else:
-                calls = [[query] for query in QUERIES]
-            for batch in calls:
-                distinct = list(dict.fromkeys(reference[q][0] for q in batch))
-                by_key = {reference[q][0]: reference[q] for q in batch}
-                tiers = [
-                    model.tier(key, by_key[key][1], mode == "profile")
-                    for key in distinct
+                answers = [
+                    list(engine.execute(batch[0], stats=stats,
+                                        profile=mode == "profile"))
                 ]
-                plans = [by_key[key][1] for key in distinct]
-                counters = [by_key[key][3] for key in distinct]
-                fields, labels, totals = _expect(tiers, plans, counters, cache)
-                for algorithm, delta in totals.items():
-                    expected_totals.setdefault(algorithm, OpCounters()).add(delta)
+            labels_seen = _label_delta(before, _query_labels())
 
-                stats = ExecutionStats()
-                before = _query_labels()
-                if mode == "execute_many":
-                    answers = engine.execute_many(batch, stats=stats)
-                else:
-                    answers = [
-                        list(engine.execute(batch[0], stats=stats,
-                                            profile=mode == "profile"))
-                    ]
-                labels_seen = _label_delta(before, _query_labels())
-
-                context = (cache, shared, pool, mode, batch, tiers)
-                assert answers == [reference[q][2] for q in batch], context
-                assert _fields(stats) == fields, context
-                assert labels_seen == labels, context
-                from_cache = any(t != "pool" and t != "thread" for t in tiers)
-                if mode != "execute_many":
-                    assert stats.result_from_cache == from_cache, context
-                elif not from_cache or "shared" in tiers:
-                    # A batch whose cached answers came only from the local
-                    # cache or a worker's shared-cache hit is left to
-                    # test_batch_flags_cached_answers_like_execute.
-                    assert stats.result_from_cache == from_cache, context
-                if mode == "profile":
-                    assert stats.profile.cache_hit == (tiers[0] == "hit"), context
-                    assert stats.profile.result_count == len(answers[0]), context
-        totals = engine.counter_totals()
-        totals.pop("_total")
-        assert totals == {
-            alg: c.as_dict() for alg, c in sorted(expected_totals.items())
-        }
-    finally:
-        if shared_cache is not None:
-            shared_cache.close()
+            context = (cache, pool, mode, batch, tiers)
+            assert answers == [reference[q][2] for q in batch], context
+            assert _fields(stats) == fields, context
+            assert labels_seen == labels, context
+            assert stats.result_from_cache == ("hit" in tiers), context
+            if mode == "profile":
+                assert stats.profile.cache_hit == (tiers[0] == "hit"), context
+                assert stats.profile.result_count == len(answers[0]), context
+    totals = engine.counter_totals()
+    totals.pop("_total")
+    assert totals == {
+        alg: c.as_dict() for alg, c in sorted(expected_totals.items())
+    }
 
 
 def test_fanned_out_batch_keeps_caller_context(index):
@@ -287,24 +240,20 @@ def test_fanned_out_batch_keeps_caller_context(index):
         assert call["deadline_epoch"] == pytest.approx(deadline.wall_expiry(), abs=1.0)
 
 
-@pytest.mark.parametrize("tier", ["hit", "pool-shared"])
+@pytest.mark.parametrize("tier", ["hit", "pool"])
 def test_batch_flags_cached_answers_like_execute(index, tier):
-    """execute_many sets result_from_cache for a local hit and for a
-    worker's shared-cache hit, exactly as execute does."""
-    shared = SharedResultCache(slot_count=16, slot_size=4096)
-    try:
-        if tier == "hit":
-            engine = QueryEngine(index, cache=QueryCache())
-        else:
-            engine = QueryEngine(index)
-            engine.attach_pool(FakePool(index, shared=shared))
-        engine.execute_many(["xkrare xkbig"])
-        for run in (
-            lambda stats: engine.execute_many(["xkbig xkrare"], stats=stats),
-            lambda stats: list(engine.execute("xkrare xkbig", stats=stats)),
-        ):
-            stats = ExecutionStats()
-            run(stats)
-            assert stats.result_from_cache
-    finally:
-        shared.close()
+    """execute_many sets result_from_cache for a cache hit and leaves it
+    unset for a pooled answer, exactly as execute does."""
+    if tier == "hit":
+        engine = QueryEngine(index, cache=QueryCache())
+    else:
+        engine = QueryEngine(index)
+        engine.attach_pool(FakePool(index))
+    engine.execute_many(["xkrare xkbig"])
+    for run in (
+        lambda stats: engine.execute_many(["xkbig xkrare"], stats=stats),
+        lambda stats: list(engine.execute("xkrare xkbig", stats=stats)),
+    ):
+        stats = ExecutionStats()
+        run(stats)
+        assert stats.result_from_cache == (tier == "hit")
