@@ -63,6 +63,13 @@ class TestSearch:
         assert main(["search", index_dir, "John Ben", "--limit", "1"]) == 0
         assert "1 SLCA answer(s)" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("extra", [[], ["--explain"]])
+    def test_search_negative_limit_rejected(self, index_dir, capsys, extra):
+        with pytest.raises(SystemExit) as exc:
+            main(["search", index_dir, "John Ben", "--limit", "-1", *extra])
+        assert exc.value.code == 2
+        assert "--limit" in capsys.readouterr().err
+
     def test_search_algorithm_flag(self, index_dir, capsys):
         assert main(["search", index_dir, "John Ben", "--algorithm", "stack"]) == 0
         assert "algorithm=stack" in capsys.readouterr().out
